@@ -9,6 +9,9 @@ any previously recorded speedup fails the run):
   builder;
 * **one training epoch** — fast backend (cached transposes, CSR segment
   reductions, fused pooling / constant-input reuse) vs the reference kernels;
+* **one GAT training epoch** — the fused GAT layer on its prepared edge
+  structure (CSR-product attention aggregation) vs the reference backend's
+  composite GAT graph;
 * **the training overhaul** — the fused-layer + folded-propagation epoch vs
   the unfused reference autograd graph (final metrics, ledger totals and RNG
   states asserted identical), the folded vs unfolded propagation chain, and
@@ -101,6 +104,7 @@ EPSILONS = (0.5, 1.0, 2.0, 3.0, 4.0)
 TRACKED_SPEEDUPS = (
     "treebatch_assembly",
     "training_epoch",
+    "gat_epoch",
     "training_overhaul",
     "mcmc_balancing",
     "greedy_initialization",
@@ -519,18 +523,21 @@ def bench_treebatch(graph, args) -> dict:
     }
 
 
-def bench_epoch(graph, split, args) -> dict:
+def bench_epoch(graph, split, args, backbone: str = "gcn") -> dict:
     """Time one steady-state supervised training epoch on each backend.
 
     Measured as the marginal cost ``(t(E epochs) - t(1 epoch)) / (E - 1)`` so
-    one-time setup (model init, constant propagation, prepared matrices) does
-    not pollute the per-epoch number.
+    one-time setup (model init, constant propagation, prepared matrices,
+    the GAT edge structure) does not pollute the per-epoch number.  With
+    ``backbone="gat"`` the reference backend runs the composite GAT graph,
+    the oracle the fused edge-structure kernel is parity-tested against.
     """
     epochs = max(args.epochs, 10)
     results = {}
     for backend in ("numpy", "reference"):
         with use_backend(backend):
-            system = LumosSystem(graph, _config(args), store=ArtifactStore())
+            config = _config(args).with_backbone(backbone)
+            system = LumosSystem(graph, config, store=ArtifactStore())
             trainer = system.trainer()
 
             def run(num_epochs: int) -> float:
@@ -1261,6 +1268,14 @@ def main(argv=None, default_output: Optional[Path] = None) -> int:
               f"{epoch['numpy_seconds'] * 1e3:.2f} ms "
               f"vs reference {epoch['reference_seconds'] * 1e3:.2f} ms "
               f"({epoch['speedup']:.2f}x)")
+    if "gat_epoch" in selected:
+        gat_epoch = sections["gat_epoch"] = _observed(
+            "gat_epoch", bench_epoch, graph, split, args, "gat"
+        )
+        print(f"[bench_engine] one GAT epoch: fused "
+              f"{gat_epoch['numpy_seconds'] * 1e3:.2f} ms "
+              f"vs reference composite {gat_epoch['reference_seconds'] * 1e3:.2f} ms "
+              f"({gat_epoch['speedup']:.2f}x)")
     if "training_overhaul" in selected:
         overhaul = sections["training_overhaul"] = _observed(
             "training_overhaul", bench_training_overhaul, graph, split, args

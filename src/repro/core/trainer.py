@@ -42,6 +42,7 @@ from ..nn.backend import get_backend, resolve_backend, use_backend
 from ..graph.sparse import symmetric_normalize
 from ..graph.splits import EdgeSplit, NodeSplit
 from ..nn import functional as F
+from ..nn.edges import EdgeStructure
 from ..nn.layers import Linear
 from ..nn.loss import cross_entropy, link_prediction_loss
 from ..nn.module import Module, Parameter
@@ -87,6 +88,7 @@ class TreeBatch:
     _pool_matrix: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
     _folded_pool_adjacency: Any = field(default=None, repr=False, compare=False)
     _pool_row_sums: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _edge_structure: Optional[EdgeStructure] = field(default=None, repr=False, compare=False)
 
     def mean_pool_matrix(self) -> sp.csr_matrix:
         """Sparse ``(num_vertices, num_nodes)`` operator computing Eq. 31.
@@ -130,14 +132,26 @@ class TreeBatch:
             ).ravel()
         return self._pool_row_sums
 
+    def edge_structure(self) -> EdgeStructure:
+        """The GAT layers' prepared edge structure over ``edge_index``.
+
+        Built lazily (GCN-only runs never build one) and cached on the
+        batch; the engine prewarms it on the cached ``tree_batch`` artifact
+        of GAT runs so every sweep point re-bound via
+        :meth:`with_initialization` shares it.
+        """
+        if self._edge_structure is None:
+            self._edge_structure = EdgeStructure(self.edge_index, self.num_nodes)
+        return self._edge_structure
+
     def with_initialization(
         self, initialization: EmbeddingInitializationResult
     ) -> "TreeBatch":
         """Re-bind the batch to another LDP exchange of the same construction.
 
         Returns a batch sharing every epsilon-independent array (adjacency,
-        edge index, leaf maps, pool matrix) with ``self``, with a fresh
-        feature matrix whose neighbour-leaf rows are filled from
+        edge index and structure, leaf maps, pool matrix) with ``self``, with
+        a fresh feature matrix whose neighbour-leaf rows are filled from
         ``initialization`` — exactly the rows a from-scratch build would
         produce for it.
         """
@@ -433,7 +447,7 @@ class _BatchGraphInput:
 
     def __init__(self, batch: TreeBatch) -> None:
         self.adjacency = batch.adjacency
-        self.edge_index = batch.edge_index
+        self.edge_structure = batch.edge_structure
 
     @property
     def num_nodes(self) -> int:

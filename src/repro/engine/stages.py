@@ -221,10 +221,13 @@ class TreeBatchStage(Stage):
             context.artifacts["ldp_init"],
             context.graph.num_features,
         )
-        # Prewarm the pooling operators on the cached artifact: every sweep
-        # point re-bound via with_initialization shares them (fold_chain runs
-        # once per construction, not once per epsilon).
+        # Prewarm the pooling operators (and, for GAT, the edge structure)
+        # on the cached artifact: every sweep point re-bound via
+        # with_initialization shares them (fold_chain runs once per
+        # construction, not once per epsilon).
         trainer_config = context.config.trainer
+        if trainer_config.backbone == "gat":
+            batch.edge_structure()
         if trainer_config.fold_propagation:
             if trainer_config.backend == "auto":
                 batch.folded_pool_adjacency()

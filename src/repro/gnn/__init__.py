@@ -1,5 +1,6 @@
 """GNN layers (GCN, GAT), encoders, task heads and pooling functions."""
 
+from ..nn.edges import EdgeStructure
 from .gat import GATLayer
 from .gcn import GCNLayer
 from .models import (
@@ -15,6 +16,7 @@ from .pooling import POOLING_FUNCTIONS, get_pooling, max_pool, mean_pool, sum_po
 __all__ = [
     "GCNLayer",
     "GATLayer",
+    "EdgeStructure",
     "EncoderConfig",
     "GraphInput",
     "GNNEncoder",

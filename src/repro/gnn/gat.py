@@ -12,13 +12,14 @@ reference implementation.  The paper's Lumos configuration uses 4 heads.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from ..nn import functional as F
 from ..nn import init
 from ..nn.backend import get_backend
+from ..nn.edges import EdgeStructure
 from ..nn.module import Module, Parameter
 from ..nn.tensor import Tensor
 
@@ -67,31 +68,37 @@ class GATLayer(Module):
     def forward(
         self,
         features: Tensor,
-        edge_index: np.ndarray,
+        edges: Union[EdgeStructure, np.ndarray],
         activation: Optional[str] = None,
     ) -> Tensor:
-        """Apply attention over ``edge_index`` (shape ``(2, E)``, src -> dst).
+        """Apply attention over ``edges`` (``src -> dst``).
 
-        ``edge_index`` should include self loops; :func:`repro.gnn.models.
-        build_edge_index` adds them.  ``activation`` (``"relu"``) is folded
-        into the fused layer node when the backend allows fusion, and applied
-        as a separate tensor op on the composite path.
+        ``edges`` is the graph's prepared :class:`~repro.nn.edges.
+        EdgeStructure` (``GraphInput.edge_structure()`` and ``TreeBatch.
+        edge_structure()`` build it once per graph) or a raw ``(2, E)`` edge
+        index, which is validated and wrapped for this call.  It should
+        include self loops; :func:`repro.gnn.models.build_edge_index` adds
+        them.  ``activation`` (``"relu"``) is folded into the fused layer
+        node when the backend allows fusion, and applied as a separate
+        tensor op on the composite path.
         """
-        edge_index = np.asarray(edge_index, dtype=np.int64)
-        if edge_index.ndim != 2 or edge_index.shape[0] != 2:
-            raise ValueError("edge_index must have shape (2, E)")
         num_nodes = features.data.shape[0]
-        src, dst = edge_index
+        if not isinstance(edges, EdgeStructure):
+            edges = EdgeStructure(edges, num_nodes)
+        elif edges.num_nodes != num_nodes:
+            raise ValueError(
+                f"edge structure covers {edges.num_nodes} nodes, features have {num_nodes}"
+            )
 
         if get_backend().allow_fused:
-            # Whole layer as a single autograd node: transform, attention
-            # logits, leaky-relu + segment softmax, weighted aggregation,
-            # head concat/mean, bias and activation with closed-form
-            # adjoints (parity pinned by tests/test_nn_backend.py).
+            # Whole layer as a single autograd node over the prepared edge
+            # structure: transform, attention logits, leaky-relu + segment
+            # softmax, per-head CSR aggregation, head concat/mean, bias and
+            # activation with closed-form adjoints (parity pinned by
+            # tests/test_nn_backend.py).
             return F.fused_gat_layer(
                 features,
-                src,
-                dst,
+                edges,
                 self.weight,
                 self.attention_src,
                 self.attention_dst,
@@ -103,6 +110,8 @@ class GATLayer(Module):
                 activation=activation,
             )
 
+        # Composite graph, op for op: the reference backend's oracle.
+        src, dst = edges.src, edges.dst
         transformed = features @ self.weight  # (N, H*F)
         transformed = transformed.reshape(num_nodes, self.num_heads, self.out_features)
 

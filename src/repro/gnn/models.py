@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 from ..graph.sparse import symmetric_normalize
 from ..nn import functional as F
+from ..nn.edges import EdgeStructure
 from ..nn.layers import Dropout, Linear
 from ..nn.module import Module
 from ..nn.tensor import Tensor
@@ -55,10 +56,18 @@ class GraphInput:
         self.edge_index = np.asarray(edge_index, dtype=np.int64)
         if self.edge_index.ndim != 2 or self.edge_index.shape[0] != 2:
             raise ValueError("edge_index must have shape (2, E)")
+        self._edge_structure: Optional[EdgeStructure] = None
 
     @property
     def num_nodes(self) -> int:
         return int(self.adjacency.shape[0])
+
+    def edge_structure(self) -> EdgeStructure:
+        """The GAT layers' prepared :class:`EdgeStructure`, built (and the
+        edge index validated) on first use and reused by every forward."""
+        if self._edge_structure is None:
+            self._edge_structure = EdgeStructure(self.edge_index, self.num_nodes)
+        return self._edge_structure
 
     @classmethod
     def from_graph(cls, graph) -> "GraphInput":
@@ -127,7 +136,7 @@ class GNNEncoder(Module):
     ) -> Tensor:
         if isinstance(layer, GCNLayer):
             return layer(hidden, graph_input.adjacency, activation=activation)
-        return layer(hidden, graph_input.edge_index, activation=activation)
+        return layer(hidden, graph_input.edge_structure(), activation=activation)
 
     @property
     def final_layer(self) -> Module:

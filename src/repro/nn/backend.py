@@ -10,7 +10,11 @@ performance or hardware portability:
 * ``take_rows`` / ``scatter_rows`` — row gather and its duplicate-aware
   adjoint;
 * ``segment_sum`` / ``segment_counts`` / ``segment_max`` — unsorted segment
-  reductions used by pooling and by the GAT edge softmax.
+  reductions used by pooling and by the composite (unfused) GAT softmax.
+
+The fused GAT layer does not go through this interface: it runs on the
+graph's prepared :class:`~repro.nn.edges.EdgeStructure` (dst-sorted CSR
+layout, built once per graph) on every backend that allows fusion.
 
 Three backends ship with the repository:
 
@@ -191,9 +195,11 @@ class FastNumpyBackend(OpsBackend):
     * :meth:`prepare_matrix` converts a propagation matrix to CSR **once**
       and also stores its transpose, so the backward pass never re-transposes
       (the seed code paid an O(nnz) transpose per backward call);
-    * segment reductions build a CSR aggregation matrix per distinct index
-      array and reuse it, replacing ``np.add.at`` (unbuffered, slow) with
-      the C-optimised sparse matmul.
+    * segment reductions (pooling, row gathers' adjoints) build a CSR
+      aggregation matrix per distinct index array and reuse it, replacing
+      ``np.add.at`` (unbuffered, slow) with the C-optimised sparse matmul.
+      The fused GAT layer does not use this cache: its edge layout is the
+      explicit :class:`~repro.nn.edges.EdgeStructure` its graph prepares.
 
     Both caches key on ``id()`` of the input object guarded by a weak
     reference, so entries die with the arrays they describe.  Index arrays

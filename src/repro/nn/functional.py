@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .backend import PreparedMatrix, get_backend
+from .edges import EdgeStructure
 from .tensor import Tensor, _as_array
 
 
@@ -87,55 +88,6 @@ def segment_softmax(values: Tensor, segment_ids: np.ndarray, num_segments: int) 
     denom = scatter_add(exp_values, segment_ids, num_segments)
     denom_per_edge = gather(denom, segment_ids)
     return exp_values / (denom_per_edge + 1e-16)
-
-
-def edge_attention_softmax(
-    src_scores: Tensor,
-    dst_scores: Tensor,
-    src: np.ndarray,
-    dst: np.ndarray,
-    num_segments: int,
-    negative_slope: float = 0.2,
-) -> Tensor:
-    """Fused GAT attention kernel: gather + add + leaky-relu + segment softmax.
-
-    Computes ``segment_softmax(leaky_relu(src_scores[src] + dst_scores[dst]))``
-    normalised over the incoming edges of each destination — the attention
-    coefficients of a GAT layer — as **one** autograd node instead of the
-    seven-node composite (two gathers, add, leaky-relu, exp, scatter, divide).
-    All array work runs through the active backend (so the fast backend's
-    cached CSR aggregation matrices serve the segment reductions), and the
-    backward pass uses the closed-form softmax adjoint
-
-        d/d logits = a * (g - segment_sum(a * g)[dst]) * leaky_relu'(logits)
-
-    which matches the composite graph's gradient exactly (the per-segment max
-    shift is constant within a segment and the ``1e-16`` denominator guard is
-    segment-constant too, so both cancel from the adjoint).
-    """
-    backend = get_backend()
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    logits = backend.take_rows(src_scores.data, src) + backend.take_rows(dst_scores.data, dst)
-    slope = np.where(logits > 0, 1.0, negative_slope)
-    activated = logits * slope
-    seg_max = backend.segment_max(activated, dst, num_segments)
-    seg_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
-    exp_values = np.exp(activated - backend.take_rows(seg_max, dst))
-    denominator = backend.segment_sum(exp_values, dst, num_segments) + 1e-16
-    attention = exp_values / backend.take_rows(denominator, dst)
-    num_src_rows = src_scores.data.shape[0]
-    num_dst_rows = dst_scores.data.shape[0]
-
-    def backward(grad: np.ndarray) -> None:
-        grad = _as_array(grad)
-        weighted = attention * grad
-        segment_dot = backend.segment_sum(weighted, dst, num_segments)
-        grad_logits = (weighted - attention * backend.take_rows(segment_dot, dst)) * slope
-        src_scores._accumulate(backend.scatter_rows(grad_logits, src, num_src_rows))
-        dst_scores._accumulate(backend.scatter_rows(grad_logits, dst, num_dst_rows))
-
-    return Tensor._make(attention, (src_scores, dst_scores), backward)
 
 
 def sparse_matmul_many(
@@ -221,8 +173,7 @@ def fused_gcn_layer(
 
 def fused_gat_layer(
     features: Tensor,
-    src: np.ndarray,
-    dst: np.ndarray,
+    edges: EdgeStructure,
     weight: Tensor,
     attention_src: Tensor,
     attention_dst: Tensor,
@@ -237,40 +188,57 @@ def fused_gat_layer(
 
     Runs the entire layer — linear transform, per-node attention logits,
     leaky-relu + segment softmax over incoming edges, weighted aggregation,
-    head concat/mean, bias, optional activation — as a single node whose
-    forward executes the same float operations as the composite graph (parity
-    is pinned by ``tests/test_nn_backend.py``).  The backward pass applies
-    the closed-form adjoint of every stage in reverse, reusing the stored
-    forward intermediates (``transformed``, ``attention``, ``slope``).
+    head concat/mean, bias, optional activation — as a single node over the
+    prepared :class:`~repro.nn.edges.EdgeStructure`, with every per-edge
+    array held in destination-sorted order:
+
+    * the softmax's segment max is a ``reduceat`` over the contiguous
+      destination runs, its segment sums are CSR products with unit
+      weights, and per-destination values reach their edges through
+      ``np.repeat``;
+    * head ``h`` aggregates as the CSR product ``Aₕ Tₕ`` with
+      ``Aₕ[dst, src] = attention[:, h]``, so no ``(E, H, F)`` message tensor
+      is built.
+
+    The backward pass applies the closed-form adjoint of every stage in
+    reverse: ``Aₕᵀ gₕ`` through the transpose permutation for the messages,
+    the per-edge attention gradient ``gₕ[dst] · Tₕ[src]`` head by head, and
+    the segment-softmax adjoint.  The kernel changes the composite graph's
+    reduction order, so parity with it (the reference backend) holds to
+    ``atol=1e-9``, not bit for bit; ``tests/test_nn_backend.py`` pins it.
     """
     if activation not in (None, "relu"):
         raise ValueError(f"unsupported fused activation '{activation}'")
-    backend = get_backend()
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
     num_nodes = features.data.shape[0]
-    transformed = (features.data @ weight.data).reshape(num_nodes, num_heads, head_dim)
-    src_vec = attention_src.data.reshape(1, num_heads, head_dim)
-    dst_vec = attention_dst.data.reshape(1, num_heads, head_dim)
-    src_scores = (transformed * src_vec).sum(axis=-1)  # (N, H)
-    dst_scores = (transformed * dst_vec).sum(axis=-1)
+    # Per-head layout (H, N, F): head h's transform X W_h is one contiguous
+    # operand of its CSR product, and both attention logits of all nodes are
+    # one batched product with the stacked vectors [a_src a_dst] (H, F, 2).
+    heads = np.ascontiguousarray(
+        (features.data @ weight.data).reshape(num_nodes, num_heads, head_dim).transpose(1, 0, 2)
+    )
+    vectors = np.stack(
+        [attention_src.data.reshape(num_heads, head_dim),
+         attention_dst.data.reshape(num_heads, head_dim)],
+        axis=-1,
+    )
+    scores = np.matmul(heads, vectors)  # (H, N, 2)
+    src_scores = scores[:, :, 0].T  # (N, H)
+    dst_scores = scores[:, :, 1].T
 
-    logits = backend.take_rows(src_scores, src) + backend.take_rows(dst_scores, dst)
+    logits = edges.gather_sources(src_scores) + edges.expand(dst_scores)  # (E, H)
     slope = np.where(logits > 0, 1.0, negative_slope)
     activated = logits * slope
-    seg_max = backend.segment_max(activated, dst, num_nodes)
-    seg_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
-    exp_values = np.exp(activated - backend.take_rows(seg_max, dst))
-    denominator = backend.segment_sum(exp_values, dst, num_nodes) + 1e-16
-    attention = exp_values / backend.take_rows(denominator, dst)  # (E, H)
+    exp_values = np.exp(activated - edges.segment_max(activated))
+    denominator = edges.expand(edges.segment_sum(exp_values)) + 1e-16
+    attention = exp_values / denominator
 
-    messages = backend.take_rows(transformed, src)  # (E, H, F)
-    weighted = messages * attention[:, :, None]
-    aggregated = backend.segment_sum(weighted, dst, num_nodes)  # (N, H, F)
+    aggregated = np.zeros_like(heads)
+    for head in range(num_heads):
+        edges.aggregate(attention[:, head], heads[head], out=aggregated[head])
     if concat_heads:
-        out = aggregated.reshape(num_nodes, num_heads * head_dim)
+        out = aggregated.transpose(1, 0, 2).reshape(num_nodes, num_heads * head_dim)
     else:
-        out = aggregated.sum(axis=1) * (1.0 / num_heads)
+        out = aggregated.sum(axis=0) * (1.0 / num_heads)
     out = out + bias.data
     mask: Optional[np.ndarray] = None
     if activation == "relu":
@@ -283,31 +251,34 @@ def fused_gat_layer(
             g = g * mask
         bias._accumulate(g)
         if concat_heads:
-            g_agg = g.reshape(num_nodes, num_heads, head_dim)
-        else:
-            g_agg = np.broadcast_to(
-                (g * (1.0 / num_heads))[:, None, :], (num_nodes, num_heads, head_dim)
+            g_heads = np.ascontiguousarray(
+                g.reshape(num_nodes, num_heads, head_dim).transpose(1, 0, 2)
             )
-        g_weighted = backend.take_rows(g_agg, dst)  # (E, H, F)
-        g_messages = g_weighted * attention[:, :, None]
-        g_attention = (g_weighted * messages).sum(axis=-1)  # (E, H)
+        else:
+            g_heads = np.broadcast_to(g * (1.0 / num_heads), heads.shape)
+        g_transformed = np.zeros_like(heads)  # (H, N, F)
+        g_attention = np.empty_like(attention)
+        for head in range(num_heads):
+            g_head = g_heads[head]
+            edges.aggregate_t(attention[:, head], g_head, out=g_transformed[head])
+            g_attention[:, head] = np.einsum(
+                "ef,ef->e", edges.expand(g_head), edges.gather_sources(heads[head])
+            )
         # Closed-form segment-softmax adjoint (the max shift and the 1e-16
         # denominator guard are segment-constant, so both cancel).
         weighted_grad = attention * g_attention
-        segment_dot = backend.segment_sum(weighted_grad, dst, num_nodes)
         g_logits = (
-            weighted_grad - attention * backend.take_rows(segment_dot, dst)
+            weighted_grad - attention * edges.expand(edges.segment_sum(weighted_grad))
         ) * slope
-        g_src_scores = backend.scatter_rows(g_logits, src, num_nodes)  # (N, H)
-        g_dst_scores = backend.scatter_rows(g_logits, dst, num_nodes)
-        g_transformed = (
-            g_src_scores[:, :, None] * src_vec
-            + g_dst_scores[:, :, None] * dst_vec
-            + backend.scatter_rows(g_messages, src, num_nodes)
-        )
-        attention_src._accumulate((transformed * g_src_scores[:, :, None]).sum(axis=0))
-        attention_dst._accumulate((transformed * g_dst_scores[:, :, None]).sum(axis=0))
-        flat = g_transformed.reshape(num_nodes, num_heads * head_dim)
+        g_scores = np.stack(
+            [edges.transpose_segment_sum(g_logits).T, edges.segment_sum(g_logits).T],
+            axis=-1,
+        )  # (H, N, 2)
+        g_transformed += np.matmul(g_scores, vectors.transpose(0, 2, 1))
+        g_vectors = np.matmul(heads.transpose(0, 2, 1), g_scores)  # (H, F, 2)
+        attention_src._accumulate(g_vectors[:, :, 0])
+        attention_dst._accumulate(g_vectors[:, :, 1])
+        flat = g_transformed.transpose(1, 0, 2).reshape(num_nodes, num_heads * head_dim)
         weight._accumulate(features.data.T @ flat)
         if features.requires_grad:
             features._accumulate(flat @ weight.data.T)

@@ -43,6 +43,7 @@ def test_tracked_speedups_include_all_perf_sections():
     assert set(bench_engine.TRACKED_SPEEDUPS) == {
         "treebatch_assembly",
         "training_epoch",
+        "gat_epoch",
         "training_overhaul",
         "mcmc_balancing",
         "greedy_initialization",

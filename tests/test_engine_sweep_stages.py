@@ -120,6 +120,52 @@ class TestTreeBatchRebind:
         assert rebound.edge_index is batch.edge_index
         np.testing.assert_array_equal(rebound.leaf_rows, fresh.leaf_rows)
 
+    def test_edge_structure_built_once_and_shared(self, graph, monkeypatch):
+        # The GAT edge structure is prepared once per graph and reused by
+        # every forward pass, and a re-bound batch shares it; GCN never
+        # builds one.
+        from repro.core.config import TrainerConfig
+        from repro.core.trainer import LumosModel
+        from repro.gnn import EdgeStructure, GNNEncoder, GraphInput
+        from repro.gnn.models import EncoderConfig
+        from repro.nn import Tensor
+
+        builds = []
+        original_init = EdgeStructure.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(EdgeStructure, "__init__", counting_init)
+
+        _, environment, construction = _constructed(graph)
+        initializer = LDPEmbeddingInitializer(epsilon=1.0, rng=np.random.default_rng(6))
+        first = initializer.run(environment, construction.assignment)
+        dim = graph.num_features
+        batch = TreeBatch.build(environment, construction, first, dim)
+        features = Tensor(batch.features)
+
+        gcn = LumosModel(dim, 3, TrainerConfig(backbone="gcn"), rng=np.random.default_rng(0))
+        gcn.logits(batch, features)
+        assert builds == []
+
+        gat = LumosModel(dim, 3, TrainerConfig(backbone="gat"), rng=np.random.default_rng(0))
+        for _ in range(3):
+            gat.logits(batch, features)
+            gat.vertex_embeddings(batch, features)
+        assert len(builds) == 1
+        rebound = batch.with_initialization(first)
+        gat.logits(rebound, features)
+        assert rebound.edge_structure() is batch.edge_structure()
+        assert len(builds) == 1
+
+        graph_input = GraphInput.from_graph(graph)
+        encoder = GNNEncoder(dim, EncoderConfig(backbone="gat"), rng=np.random.default_rng(0))
+        for _ in range(3):
+            encoder(Tensor(graph.features), graph_input)
+        assert len(builds) == 2
+
     def test_generic_builder_also_carries_recipe(self, graph):
         _, environment, construction = _constructed(graph)
         initialization = LDPEmbeddingInitializer(

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.gnn import (
+    EdgeStructure,
     EncoderConfig,
     GATLayer,
     GCNLayer,
@@ -22,7 +23,7 @@ from repro.gnn import (
 )
 from repro.graph import Graph, generate_small_world, split_nodes
 from repro.graph.sparse import symmetric_normalize
-from repro.nn import Adam, Tensor, cross_entropy
+from repro.nn import Adam, Tensor, cross_entropy, use_backend
 
 
 def path_graph() -> Graph:
@@ -116,6 +117,30 @@ class TestGATLayer:
         layer = GATLayer(4, 2)
         with pytest.raises(ValueError):
             layer(Tensor(np.ones((3, 4))), np.ones((3, 3)))
+
+    @pytest.mark.parametrize(
+        "edge_index",
+        [
+            np.array([[0, -1, 2], [1, 2, 0]]),  # negative source
+            np.array([[0, 1, 2], [1, -2, 0]]),  # negative destination
+            np.array([[0, 1, 3], [1, 2, 0]]),  # index >= num_nodes
+            np.array([[0, 1, 2]]),  # wrong shape
+            np.array([[0.0, 1.0], [1.0, 0.0]]),  # non-integer dtype
+        ],
+        ids=["negative-src", "negative-dst", "out-of-range", "shape", "dtype"],
+    )
+    def test_invalid_edge_index_raises(self, edge_index):
+        # A negative index used to wrap around to the last node silently.
+        layer = GATLayer(4, 2, num_heads=2)
+        for backend in ("numpy", "reference"):
+            with use_backend(backend), pytest.raises(ValueError):
+                layer(Tensor(np.ones((3, 4))), edge_index)
+
+    def test_edge_structure_must_match_feature_rows(self):
+        layer = GATLayer(4, 2, num_heads=2)
+        edges = EdgeStructure(np.array([[0, 1], [1, 0]]), num_nodes=2)
+        with pytest.raises(ValueError):
+            layer(Tensor(np.ones((3, 4))), edges)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):

@@ -129,64 +129,60 @@ class TestAutogradParity:
             np.testing.assert_allclose(w_grad, w_ref, atol=1e-9)
             np.testing.assert_allclose(b_grad, b_ref, atol=1e-9)
 
-    def _gat_outputs(self, backend_name):
+    # Node 8 has no incoming edge and (0 -> 3) is a duplicated edge.
+    _GAT_NODES = 9
+
+    def _gat_edge_index(self, rng):
+        src = rng.integers(0, self._GAT_NODES, size=30)
+        dst = rng.integers(0, self._GAT_NODES - 1, size=30)
+        return np.concatenate([np.stack([src, dst]), [[0, 0], [3, 3]]], axis=1)
+
+    def _gat_outputs(self, backend_name, concat_heads, activation):
         rng = np.random.default_rng(4)
-        edge_index = np.stack(
-            [rng.integers(0, 8, size=30), rng.integers(0, 8, size=30)]
-        )
-        features = Tensor(rng.random((8, 5)), requires_grad=True)
+        edge_index = self._gat_edge_index(rng)
+        features = Tensor(rng.random((self._GAT_NODES, 5)), requires_grad=True)
         with use_backend(backend_name):
-            layer = GATLayer(5, 3, num_heads=2, rng=np.random.default_rng(9))
-            out = layer(features, edge_index)
+            layer = GATLayer(5, 3, num_heads=2, concat_heads=concat_heads,
+                             rng=np.random.default_rng(9))
+            layer.bias.data[:] = rng.standard_normal(layer.bias.data.shape)
+            out = layer(features, edge_index, activation=activation)
             loss = (out * out).sum()
             loss.backward()
-            return out.data.copy(), features.grad.copy(), layer.weight.grad.copy()
+            return (
+                out.data.copy(),
+                features.grad.copy(),
+                layer.weight.grad.copy(),
+                layer.attention_src.grad.copy(),
+                layer.attention_dst.grad.copy(),
+                layer.bias.grad.copy(),
+            )
 
     def test_gat_backend_parity(self):
-        out_ref, f_ref, w_ref = self._gat_outputs("reference")
-        for name in ("numpy", "dense"):
-            out, f_grad, w_grad = self._gat_outputs(name)
-            np.testing.assert_allclose(out, out_ref, atol=1e-9)
-            np.testing.assert_allclose(f_grad, f_ref, atol=1e-9)
-            np.testing.assert_allclose(w_grad, w_ref, atol=1e-9)
+        # The fused kernel (numpy, dense) against the composite graph the
+        # reference backend runs: output and all five gradients.
+        for concat_heads in (True, False):
+            for activation in (None, "relu"):
+                reference = self._gat_outputs("reference", concat_heads, activation)
+                for name in ("numpy", "dense"):
+                    fused = self._gat_outputs(name, concat_heads, activation)
+                    for part, expected in zip(fused, reference):
+                        np.testing.assert_allclose(part, expected, atol=1e-9)
 
-    def test_fused_edge_attention_matches_composite(self):
-        # The fused GAT kernel must reproduce the unfused composite graph
-        # (gather + add + leaky-relu + segment softmax) in both the forward
-        # values and the gradients, on the same backend.
-        rng = np.random.default_rng(12)
-        num_nodes, num_edges, heads = 9, 40, 3
-        src = rng.integers(0, num_nodes, size=num_edges)
-        dst = rng.integers(0, num_nodes, size=num_edges)
-        scores = rng.standard_normal((num_nodes, heads))
-        weights = rng.standard_normal((num_edges, heads))
-        results = {}
-        with use_backend("numpy"):
-            for mode in ("fused", "composite"):
-                src_scores = Tensor(scores.copy(), requires_grad=True)
-                dst_scores = Tensor(scores.copy() * 0.5, requires_grad=True)
-                if mode == "fused":
-                    attention = F.edge_attention_softmax(
-                        src_scores, dst_scores, src, dst, num_nodes, 0.2
-                    )
-                else:
-                    logits = F.gather(src_scores, src) + F.gather(dst_scores, dst)
-                    attention = F.segment_softmax(
-                        logits.leaky_relu(0.2), dst, num_nodes
-                    )
-                (attention * Tensor(weights)).sum().backward()
-                results[mode] = (
-                    attention.data.copy(),
-                    src_scores.grad.copy(),
-                    dst_scores.grad.copy(),
-                )
-        for fused_part, composite_part in zip(results["fused"], results["composite"]):
-            np.testing.assert_allclose(fused_part, composite_part, atol=1e-12)
-        # Per-destination attention sums to one wherever edges land.
-        totals = np.zeros((num_nodes, heads))
-        np.add.at(totals, dst, results["fused"][0])
-        landed = np.unique(dst)
-        np.testing.assert_allclose(totals[landed], 1.0, atol=1e-9)
+        # Attention sums to one over each destination's incoming edges: with
+        # identical node features every message is the same row, so every
+        # destination outputs that row and the edgeless node outputs zeros.
+        edge_index = self._gat_edge_index(np.random.default_rng(4))
+        features = Tensor(np.tile(np.random.default_rng(5).random(5), (self._GAT_NODES, 1)))
+        for concat_heads in (True, False):
+            for name in ("reference", "numpy"):
+                with use_backend(name):
+                    layer = GATLayer(5, 3, num_heads=2, concat_heads=concat_heads,
+                                     rng=np.random.default_rng(9))
+                    out = layer(features, edge_index).data
+                message = (features.data[0] @ layer.weight.data).reshape(2, 3)
+                row = message.ravel() if concat_heads else message.mean(axis=0)
+                np.testing.assert_allclose(out[:-1], np.tile(row, (self._GAT_NODES - 1, 1)), atol=1e-9)
+                np.testing.assert_array_equal(out[-1], 0.0)
 
     def test_gat_fused_gate_follows_allow_fused(self):
         # The reference backend must execute the unfused graph; the fast
