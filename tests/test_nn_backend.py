@@ -137,11 +137,14 @@ class TestAutogradParity:
         dst = rng.integers(0, self._GAT_NODES - 1, size=30)
         return np.concatenate([np.stack([src, dst]), [[0, 0], [3, 3]]], axis=1)
 
-    def _gat_outputs(self, backend_name, concat_heads, activation):
+    def _gat_outputs(self, backend_name, concat_heads, activation, monkeypatch=None):
         rng = np.random.default_rng(4)
         edge_index = self._gat_edge_index(rng)
         features = Tensor(rng.random((self._GAT_NODES, 5)), requires_grad=True)
-        with use_backend(backend_name):
+        with use_backend(backend_name) as backend:
+            if monkeypatch is not None:
+                # Force the composite graph on this (fusing) backend.
+                monkeypatch.setattr(backend, "allow_fused", False)
             layer = GATLayer(5, 3, num_heads=2, concat_heads=concat_heads,
                              rng=np.random.default_rng(9))
             layer.bias.data[:] = rng.standard_normal(layer.bias.data.shape)
@@ -167,6 +170,20 @@ class TestAutogradParity:
                     fused = self._gat_outputs(name, concat_heads, activation)
                     for part, expected in zip(fused, reference):
                         np.testing.assert_allclose(part, expected, atol=1e-9)
+
+    def test_fused_edge_attention_matches_composite(self, monkeypatch):
+        # On one backend, the fused kernel must reproduce the unfused
+        # composite graph (gather + add + leaky-relu + segment softmax +
+        # scatter) in the forward values and all five gradients.
+        for concat_heads in (True, False):
+            for activation in (None, "relu"):
+                fused = self._gat_outputs("numpy", concat_heads, activation)
+                with monkeypatch.context() as patch:
+                    composite = self._gat_outputs(
+                        "numpy", concat_heads, activation, monkeypatch=patch
+                    )
+                for part, expected in zip(fused, composite):
+                    np.testing.assert_allclose(part, expected, atol=1e-9)
 
         # Attention sums to one over each destination's incoming edges: with
         # identical node features every message is the same row, so every
