@@ -14,9 +14,7 @@ any previously recorded speedup fails the run):
   composite GAT graph;
 * **the training overhaul** — the fused-layer + folded-propagation epoch vs
   the unfused reference autograd graph (final metrics, ledger totals and RNG
-  states asserted identical), the folded vs unfolded propagation chain, and
-  the cross-sweep-point batched trainer vs the per-point loop (all metrics
-  asserted bit-for-bit identical);
+  states asserted identical), and the folded vs unfolded propagation chain;
 * **MCMC balancing** — the incremental array-backed kernel (delta workload
   updates, maintained candidate set, columnar transcript) vs a faithful
   emulation of the pre-PR from-scratch kernel;
@@ -47,7 +45,7 @@ any previously recorded speedup fails the run):
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_engine.py [--nodes 300]
-        [--epochs 50] [--mcmc 1000] [--repeat 2] [--workers 4] [--smoke]
+        [--epochs 50] [--mcmc 1000] [--repeat 5] [--workers 4] [--smoke]
         [--only section[,section...]] [--trace trace.json]
 
 Every section additionally records ``observed_wall_seconds``,
@@ -556,7 +554,7 @@ def bench_epoch(graph, split, args, backbone: str = "gcn") -> dict:
 def bench_training_overhaul(graph, split, args) -> dict:
     """Time the fused+folded training path against its ablations.
 
-    Three comparisons, each with its correctness asserted before timing:
+    Two comparisons, each with its correctness asserted before timing:
 
     * **fused+folded vs unfused reference** — the tracked ``speedup``.  The
       two paths build different autograd graphs (one node per layer with
@@ -565,15 +563,10 @@ def bench_training_overhaul(graph, split, args) -> dict:
       metrics, ledger totals and RNG states must match exactly.
     * **folded vs unfolded propagation** — same fused kernels, with and
       without collapsing the mean-pool/propagation chain into one operator.
-    * **batched vs per-point sweep training** — the cross-point stacked
-      trainer vs the sequential loop, asserted bit-for-bit identical
-      (including per-epoch losses).
 
     Epoch timings use the marginal-cost form of ``bench_epoch`` so one-time
     setup does not pollute the per-epoch numbers.
     """
-    from repro.core.lumos import run_supervised_many
-
     epochs = max(args.epochs, 10)
     base_config = _config(args)
 
@@ -644,40 +637,6 @@ def bench_training_overhaul(graph, split, args) -> dict:
             short = _best(lambda: run(1), args.repeat + 2)
             timings[label] = max(long - short, 0.0) / (epochs - 1)
 
-    def _sweep(label, train):
-        def fn() -> float:
-            store = ArtifactStore()
-            systems = [
-                LumosSystem(graph, _config(args, epsilon), store=store)
-                for epsilon in EPSILONS
-            ]
-            start = time.perf_counter()
-            results = train(systems)
-            elapsed = time.perf_counter() - start
-            fn.outcome = tuple(
-                (_outcome(system, result.history), tuple(result.history.losses))
-                for system, result in zip(systems, results)
-            )
-            return elapsed
-
-        fn.__name__ = label
-        return fn
-
-    per_point = _sweep(
-        "per_point",
-        lambda systems: [s.run_supervised(split, epochs=epochs) for s in systems],
-    )
-    batched = _sweep(
-        "batched",
-        lambda systems: run_supervised_many(systems, split, epochs=epochs),
-    )
-    per_point_seconds = _best(per_point, args.repeat)
-    batched_seconds = _best(batched, args.repeat)
-    if per_point.outcome != batched.outcome:
-        raise AssertionError(
-            "batched sweep training diverged from the per-point loop"
-        )
-
     return {
         "devices": graph.num_nodes,
         "epochs": epochs,
@@ -688,11 +647,6 @@ def bench_training_overhaul(graph, split, args) -> dict:
         if timings["fused_folded"] else float("nan"),
         "folding_speedup": timings["fused_unfolded"] / timings["fused_folded"]
         if timings["fused_folded"] else float("nan"),
-        "sweep_points": len(EPSILONS),
-        "per_point_sweep_seconds": per_point_seconds,
-        "batched_sweep_seconds": batched_seconds,
-        "batching_speedup": per_point_seconds / batched_seconds
-        if batched_seconds else float("nan"),
         "test_accuracy": fused_outcome["test_accuracy"],
     }
 
@@ -765,8 +719,6 @@ def _sweep_seed_path(graph, split, args) -> tuple:
 
 
 def _sweep_engine(graph, split, args):
-    from repro.core.lumos import run_supervised_many
-
     store = ArtifactStore()
     pipeline_seconds = 0.0
     systems = []
@@ -777,9 +729,9 @@ def _sweep_engine(graph, split, args):
         system.tree_batch()  # partition -> construction -> draws -> ldp -> batch
         pipeline_seconds += time.perf_counter() - pipeline_start
         systems.append(system)
-    # Same call the runner's serial path makes: all points' training loops
-    # stacked into batched backend kernels (bit-identical to per-point).
-    run_supervised_many(systems, split)
+    # Same calls the runner's serial path makes: one training run per point.
+    for system in systems:
+        system.run_supervised(split)
     return time.perf_counter() - start, pipeline_seconds, store
 
 
@@ -1146,7 +1098,9 @@ def check_trajectory(payload: dict, previous_path: Path) -> list:
 
     Returns a list of human-readable regression descriptions; any entry means
     a tracked speedup fell more than ``REGRESSION_TOLERANCE`` below its
-    previously recorded value — the caller fails loudly on that.
+    previously recorded value, or the run's scale differs from the recorded
+    one (its speedups are then not comparable) — the caller fails loudly on
+    that and leaves the recorded file untouched.
     """
     if not previous_path.exists():
         return []
@@ -1155,12 +1109,11 @@ def check_trajectory(payload: dict, previous_path: Path) -> list:
     except (OSError, json.JSONDecodeError):
         return []
     if previous.get("scale") != payload.get("scale"):
-        # Speedups measured at a different scale are not comparable to the
-        # recorded trajectory; the caller still overwrites the file, making
-        # the new scale the baseline for subsequent runs.
-        print("[bench_engine] scale differs from the recorded trajectory; "
-              "skipping the regression check", file=sys.stderr)
-        return []
+        return [
+            f"scale {payload.get('scale')} differs from the recorded scale "
+            f"{previous.get('scale')}; rerun with matching --nodes/--epochs/"
+            "--mcmc/--repeat/--workers"
+        ]
     regressions = []
     for section in TRACKED_SPEEDUPS:
         previous_section = previous.get(section, {})
@@ -1204,7 +1157,7 @@ def main(argv=None, default_output: Optional[Path] = None) -> int:
     parser.add_argument("--mcmc", type=int, default=1000,
                         help="MCMC balancing iterations (paper default for "
                              "the Facebook graph: 1000)")
-    parser.add_argument("--repeat", type=int, default=3,
+    parser.add_argument("--repeat", type=int, default=5,
                         help="timing repetitions (best-of)")
     parser.add_argument("--workers", type=int, default=4,
                         help="worker-pool size of the parallel_sweep section")
@@ -1285,10 +1238,7 @@ def main(argv=None, default_output: Optional[Path] = None) -> int:
               f"{overhaul['fused_folded_epoch_seconds'] * 1e3:.2f} ms/epoch vs "
               f"reference {overhaul['reference_epoch_seconds'] * 1e3:.2f} ms "
               f"({overhaul['speedup']:.2f}x; folding "
-              f"{overhaul['folding_speedup']:.2f}x; "
-              f"batched sweep {overhaul['batched_sweep_seconds']:.2f} s vs "
-              f"per-point {overhaul['per_point_sweep_seconds']:.2f} s, "
-              f"{overhaul['batching_speedup']:.2f}x)")
+              f"{overhaul['folding_speedup']:.2f}x)")
     if "mcmc_balancing" in selected:
         mcmc = sections["mcmc_balancing"] = _observed(
             "mcmc_balancing", bench_mcmc_balancing, graph, args
@@ -1425,12 +1375,6 @@ def main(argv=None, default_output: Optional[Path] = None) -> int:
                 previous = json.loads(output.read_text())
             except (OSError, json.JSONDecodeError):
                 previous = {}
-        if previous and previous.get("scale") != payload["scale"]:
-            print("[bench_engine] --only requires the recorded scale "
-                  f"{previous.get('scale')} (got {payload['scale']}); "
-                  "rerun with matching --nodes/--epochs/--mcmc/--repeat/"
-                  "--workers or do a full run", file=sys.stderr)
-            return 1
         regressions = check_trajectory(payload, output)
         if regressions:
             for regression in regressions:

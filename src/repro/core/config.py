@@ -29,12 +29,9 @@ EXECUTORS = ("serial", "process")
 
 #: Trainer compute-backend selection values.  ``"auto"`` inherits whatever
 #: backend is active when training starts (the fast numpy backend by
-#: default); any other value must name a registered
-#: :mod:`repro.nn.backend` backend — including optional ones like
-#: ``"torch"`` — and the trainer switches to it for the duration of the run.
-#: Validated lazily against the registry so configs stay importable without
-#: optional extras installed.
-TRAINER_BACKENDS = ("auto", "numpy", "reference", "dense", "torch")
+#: default); ``"numpy"`` or ``"reference"`` names a :mod:`repro.nn.backend`
+#: backend, and the trainer switches to it for the duration of the run.
+TRAINER_BACKENDS = ("auto", "numpy", "reference")
 
 
 @dataclass(frozen=True)

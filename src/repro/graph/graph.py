@@ -244,12 +244,3 @@ def from_edge_list(
         features = np.zeros((num_nodes, 1), dtype=np.float64)
     return Graph(num_nodes=num_nodes, edges=edges, features=features, labels=labels, name=name)
 
-
-def from_networkx(nx_graph, features: Optional[np.ndarray] = None, labels=None, name: str = "graph") -> Graph:
-    """Convert a ``networkx`` graph (nodes must be 0..n-1) to :class:`Graph`."""
-    num_nodes = nx_graph.number_of_nodes()
-    edges = np.asarray([(int(u), int(v)) for u, v in nx_graph.edges() if u != v], dtype=np.int64)
-    edges = edges.reshape(-1, 2)
-    if features is None:
-        features = np.zeros((num_nodes, 1), dtype=np.float64)
-    return Graph(num_nodes=num_nodes, edges=edges, features=features, labels=labels, name=name)

@@ -13,7 +13,6 @@ from .backend import (
     OpsBackend,
     available_backends,
     get_backend,
-    register_backend,
     set_backend,
     use_backend,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "OpsBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
     "set_backend",
     "use_backend",
     "Tensor",

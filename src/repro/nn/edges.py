@@ -18,7 +18,10 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .backend import _csr_matvecs
+try:  # scipy's C kernel for multi-vector CSR products (see _csr_product)
+    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+except ImportError:  # pragma: no cover - older scipy layouts
+    _csr_matvecs = None
 
 
 class EdgeStructure:

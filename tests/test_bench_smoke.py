@@ -107,3 +107,14 @@ def test_secure_construction_section_is_gate_tracked_and_equivalent(capsys):
     assert section["devices"] == 30
     assert section["comparisons"] > 0
     assert section["speedup"] > 0
+
+
+def test_gate_refuses_a_run_at_a_different_scale(tmp_path):
+    """A run whose scale differs from the recorded one must fail the gate
+    (so the caller leaves the recorded file alone), not skip it."""
+    bench_engine = _load_bench_engine()
+    path = tmp_path / "BENCH_engine.json"
+    path.write_text(json.dumps({"scale": {"repeat": 5}, "training_epoch": {"speedup": 2.0}}))
+    payload = {"scale": {"repeat": 3}, "training_epoch": {"speedup": 2.0}}
+    regressions = bench_engine.check_trajectory(payload, path)
+    assert len(regressions) == 1 and "scale" in regressions[0]

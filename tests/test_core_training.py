@@ -20,6 +20,7 @@ from repro.core import (
 from repro.core.trainer import roc_auc_from_embeddings
 from repro.federation import FederatedEnvironment, MessageKind
 from repro.graph import generate_facebook_like, split_edges, split_nodes
+from repro.nn import set_backend
 
 
 @pytest.fixture(scope="module")
@@ -235,61 +236,6 @@ class TestLumosSystem:
         summary = system.summary()
         assert {"num_devices", "max_workload", "secure_comparisons"} <= set(summary)
 
-    def test_run_supervised_many_matches_sequential(self, tiny_graph):
-        # The batched cross-sweep-point trainer must be observably identical
-        # to running each point in order: losses, accuracies, ledger
-        # summaries and the systems' RNG states all bit-equal.
-        from repro.core.lumos import run_supervised_many
-        from repro.engine.store import ArtifactStore
-
-        split = split_nodes(tiny_graph, seed=0)
-        base = default_config_for("facebook").with_mcmc_iterations(10).with_epochs(4)
-        epsilons = (1.0, 3.0)
-
-        def build():
-            store = ArtifactStore()
-            return [
-                LumosSystem(tiny_graph, base.with_epsilon(epsilon), store=store)
-                for epsilon in epsilons
-            ]
-
-        batched_systems = build()
-        batched = run_supervised_many(batched_systems, split)
-        sequential_systems = build()
-        sequential = [
-            system.run_supervised(split) for system in sequential_systems
-        ]
-        for batched_result, sequential_result in zip(batched, sequential):
-            assert batched_result.test_accuracy == sequential_result.test_accuracy
-            assert batched_result.history.losses == sequential_result.history.losses
-            assert (
-                batched_result.history.val_accuracy
-                == sequential_result.history.val_accuracy
-            )
-            assert batched_result.ledger_summary == sequential_result.ledger_summary
-        for batched_system, sequential_system in zip(
-            batched_systems, sequential_systems
-        ):
-            assert (
-                batched_system.rng.bit_generator.state
-                == sequential_system.rng.bit_generator.state
-            )
-
-    def test_run_supervised_many_single_system_falls_back(self, tiny_graph):
-        from repro.core.lumos import run_supervised_many
-        from repro.engine.store import ArtifactStore
-
-        split = split_nodes(tiny_graph, seed=0)
-        config = default_config_for("facebook").with_mcmc_iterations(10).with_epochs(3)
-        system = LumosSystem(tiny_graph, config, store=ArtifactStore())
-        (result,) = run_supervised_many([system], split)
-        reference = LumosSystem(
-            tiny_graph, config, store=ArtifactStore()
-        ).run_supervised(split)
-        assert result.test_accuracy == reference.test_accuracy
-        assert result.history.losses == reference.history.losses
-        assert run_supervised_many([], split) == []
-
     def test_config_helpers(self):
         config = LumosConfig()
         assert config.with_backbone("gat").trainer.backbone == "gat"
@@ -311,6 +257,12 @@ class TestLumosSystem:
             TrainerConfig(epsilon=-1.0)
         with pytest.raises(ValueError):
             TreeConstructorConfig(mcmc_iterations=-5)
+        # Only the numpy backend and the reference oracle can be selected.
+        for backend in ("dense", "torch"):
+            with pytest.raises(ValueError):
+                TrainerConfig(backend=backend)
+        with pytest.raises(KeyError):
+            set_backend("dense")
 
 
 class TestNonContiguousDeviceIds:

@@ -12,7 +12,6 @@ from repro.graph import (
     EgoNetwork,
     Graph,
     from_edge_list,
-    from_networkx,
     partition_node_level,
     sample_negative_edges,
     split_edges,
@@ -134,12 +133,6 @@ class TestGraph:
     def test_from_edge_list_and_networkx(self):
         graph = from_edge_list(3, [(0, 1), (1, 2)])
         assert graph.num_edges == 2
-        import networkx as nx
-
-        nx_graph = nx.path_graph(4)
-        converted = from_networkx(nx_graph)
-        assert converted.num_nodes == 4
-        assert converted.num_edges == 3
 
 
 class TestSparseHelpers:
